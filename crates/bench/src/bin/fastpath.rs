@@ -19,7 +19,7 @@
 
 use gretel_bench::{arg, results, Workbench};
 use gretel_core::{
-    run_service_cfg, Analyzer, FingerprintLibrary, GretelConfig, ServiceConfig,
+    run_service_checked, Analyzer, FingerprintLibrary, GretelConfig, ServiceConfig,
 };
 use gretel_model::{Message, NodeId};
 use gretel_sim::{StreamConfig, SyntheticStream};
@@ -132,7 +132,9 @@ fn main() {
                 GretelConfig::auto(wb.library.fp_max(), 50_000.0, 1.0),
             );
             let start = Instant::now();
-            let (diags, svc, astats) = run_service_cfg(&mut analyzer, &nodes, &batched_msgs, &cfg);
+            let (diags, svc, astats) =
+                run_service_checked(&mut analyzer, &nodes, &batched_msgs, &cfg)
+                    .expect("fastpath run completes");
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
             match &batched_oracle {
                 Some(expected) => assert_eq!(

@@ -23,7 +23,8 @@
 
 use gretel_bench::{arg, flag, results, Workbench};
 use gretel_core::{
-    run_service_cfg, self_watch_stage, Analyzer, Diagnosis, GretelConfig, SelfWatch, ServiceConfig,
+    run_service_checked, self_watch_stage, Analyzer, Diagnosis, GretelConfig, SelfWatch,
+    ServiceConfig,
 };
 use gretel_model::NodeId;
 use gretel_netcap::CaptureImpairment;
@@ -53,7 +54,8 @@ fn run_arm(
     };
     let mut analyzer = Analyzer::new(&wb.library, gcfg);
     let t0 = Instant::now();
-    let (diagnoses, _, astats) = run_service_cfg(&mut analyzer, nodes, traffic, &cfg);
+    let (diagnoses, _, astats) = run_service_checked(&mut analyzer, nodes, traffic, &cfg)
+        .expect("observability run completes");
     (diagnoses, t0.elapsed().as_micros() as u64, astats.messages)
 }
 

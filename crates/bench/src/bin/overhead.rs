@@ -9,7 +9,7 @@
 
 use gretel_bench::precision::PrecisionParams;
 use gretel_bench::{arg, results, Workbench};
-use gretel_core::{run_service, Analyzer, GretelConfig};
+use gretel_core::{run_service_checked, Analyzer, GretelConfig, ServiceConfig};
 use gretel_model::{NodeId, OperationSpec};
 use gretel_sim::{secs, FaultPlan, RunConfig, Runner};
 use serde::Serialize;
@@ -61,7 +61,10 @@ fn main() {
     let nodes: Vec<NodeId> = wb.deployment.nodes().iter().map(|n| n.id).collect();
 
     let t0 = Instant::now();
-    let (diagnoses, svc, stats) = run_service(&mut analyzer, &nodes, &exec.messages, 1024);
+    let svc_cfg = ServiceConfig { channel_capacity: 1024, ..ServiceConfig::default() };
+    let (diagnoses, svc, stats) =
+        run_service_checked(&mut analyzer, &nodes, &exec.messages, &svc_cfg)
+            .expect("overhead run completes");
     let wall = t0.elapsed();
 
     let out = Overhead {

@@ -112,7 +112,8 @@ fn main() {
         let gcfg = GretelConfig::auto(wb.library.fp_max(), p_rate * (1.0 - rate), 2.0);
         let mut analyzer = Analyzer::new(&wb.library, gcfg);
         let (diagnoses, svc, astats) =
-            gretel_core::run_service_cfg(&mut analyzer, &nodes, &exec.messages, &cfg);
+            gretel_core::run_service_checked(&mut analyzer, &nodes, &exec.messages, &cfg)
+                .expect("robustness run completes");
 
         let mut hit = 0usize;
         let mut diagnosed = 0usize;
@@ -160,7 +161,8 @@ fn main() {
             let gcfg = GretelConfig::auto(wb.library.fp_max(), sp_rate * (1.0 - rate), 2.0);
             let mut analyzer = Analyzer::new(&wb.library, gcfg);
             let (diagnoses, _, _) =
-                gretel_core::run_service_cfg(&mut analyzer, &snodes, &sexec.messages, &cfg);
+                gretel_core::run_service_checked(&mut analyzer, &snodes, &sexec.messages, &cfg)
+                    .expect("scenario run completes");
             scenarios.push(ScenarioRow {
                 scenario: sc.name.to_string(),
                 drop_prob: rate,

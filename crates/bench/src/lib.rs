@@ -68,14 +68,28 @@ impl Workbench {
     }
 }
 
-/// Parse `--key value` style arguments with a default.
+/// Parse `--key value` style arguments with a default. A flag whose
+/// value is missing or does not parse is a usage error: the process
+/// exits with status 2, naming the flag and the bad value.
 pub fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    parse_arg(&args, name, default).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// The value of `name` in `args` (`--key value` style), or `default` when
+/// the flag is absent. A present flag without a value, or with one that
+/// does not parse as `T`, is an error naming the flag and the value.
+pub fn parse_arg<T: std::str::FromStr>(
+    args: &[String],
+    name: &str,
+    default: T,
+) -> Result<T, String> {
+    let Some(i) = args.iter().position(|a| a == name) else { return Ok(default) };
+    let Some(value) = args.get(i + 1) else { return Err(format!("{name} needs a value")) };
+    value.parse().map_err(|_| format!("{name}: cannot parse {value:?}"))
 }
 
 /// Whether a bare flag is present.
@@ -86,6 +100,26 @@ pub fn flag(name: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn flag_values_parse_or_fall_back_to_the_default() {
+        let argv = args(&["bin", "--seed", "7", "--smoke"]);
+        assert_eq!(parse_arg(&argv, "--seed", 42u64), Ok(7));
+        assert_eq!(parse_arg(&argv, "--messages", 200_000usize), Ok(200_000));
+    }
+
+    #[test]
+    fn bad_or_missing_flag_values_are_errors_naming_flag_and_value() {
+        let err = parse_arg(&args(&["bin", "--messages", "abc"]), "--messages", 200_000usize)
+            .unwrap_err();
+        assert!(err.contains("--messages") && err.contains("abc"), "{err}");
+        let err = parse_arg(&args(&["bin", "--seed"]), "--seed", 42u64).unwrap_err();
+        assert!(err.contains("--seed"), "{err}");
+    }
 
     #[test]
     fn small_workbench_builds_and_characterizes() {

@@ -196,9 +196,9 @@ impl<'a> Analyzer<'a> {
 
     /// The per-message fast path: scan, pair, window-push — everything
     /// *stateful* — and return the snapshot jobs this message completed,
-    /// without analyzing them. [`Self::process`] analyzes inline; a
-    /// sharded service ships the jobs to a worker pool instead (see
-    /// [`crate::service::run_service_sharded`]).
+    /// without analyzing them. [`Self::process`] analyzes inline; the
+    /// threaded pipeline ships the jobs to a worker pool instead (see
+    /// [`crate::service::run_service_checked`]).
     pub fn ingest(&mut self, msg: &Message) -> Vec<SnapshotJob> {
         self.ingest_observed(msg, None)
     }

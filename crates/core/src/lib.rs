@@ -15,7 +15,12 @@
 //!   (Algorithm 2 — [`detect`] + [`matcher`]) and runs root cause
 //!   analysis (Algorithm 3 — [`rca`]);
 //! * [`config`] holds the paper's thresholds (α, β, δ, c1, c2) and the
-//!   precision metric θ; [`report`] renders diagnoses.
+//!   precision metric θ; [`report`] renders diagnoses;
+//! * deployed: one threaded agents → receiver → worker-pool pipeline
+//!   behind four entry points — [`run_service_checked`] (in memory),
+//!   [`run_service_durable`] (checkpointed to a [`store::Store`], see
+//!   [`recover`]), and the tenant-sharded [`run_sharded`] /
+//!   [`run_sharded_durable`] (see [`shard`]).
 //!
 //! The stage-by-stage walkthrough of how these modules compose into the
 //! deployed pipeline lives in `ARCHITECTURE.md` at the repository root.
@@ -48,6 +53,7 @@ pub mod lcs;
 pub mod matcher;
 pub mod noise_filter;
 pub mod perf;
+mod pipeline;
 pub mod rca;
 pub mod recover;
 pub mod report;
@@ -60,7 +66,7 @@ pub use analyzer::{
     analyze_stream, Analyzer, AnalyzerStats, JobBudget, RcaContext, SnapshotAnalyzer, SnapshotJob,
 };
 pub use anomaly::{scan_message, scan_rest_error, scan_rpc_error, LatencyObs, LatencyPairer};
-pub use checkpoint::{CheckpointError, Journal};
+pub use checkpoint::CheckpointError;
 pub use config::{theta, GretelConfig};
 pub use detect::{DetectionOutcome, Detector, SnapshotIndex};
 pub use event::{Event, FaultMark};
@@ -75,16 +81,14 @@ pub use matcher::PositionIndex;
 pub use perf::{PerfFault, PerfMonitor};
 pub use rca::{CauseKind, RcaEngine, RootCause};
 pub use recover::{
-    run_service_durable, run_service_recoverable, AnalyzerChaos, DurableConfig, DurableOutcome,
+    run_service_durable, AnalyzerChaos, DurableConfig, DurableOutcome,
     LibraryReload, RecoveryConfig, RecoveryStats, KIND_CHECKPOINT, KIND_DIAGNOSES, KIND_LIBRARY,
 };
 pub use report::{CaptureConfidence, Diagnosis, FaultKind};
 pub use selfwatch::{self_watch_api, self_watch_stage, SelfWatch, SELF_WATCH_API_BASE};
-#[allow(deprecated)] // re-exported so downstream deprecation warnings point here
-pub use service::run_service_sharded;
 pub use service::{
-    resolve_shard_workers, run_service, run_service_cfg, run_service_checked, BackpressurePolicy,
-    ServiceConfig, ServiceError, ServiceStats,
+    resolve_shard_workers, run_service_checked, BackpressurePolicy, ServiceConfig, ServiceError,
+    ServiceStats,
 };
 pub use shard::{
     canonical_order, encode_diagnoses, run_sharded, run_sharded_durable, ShardReport,
@@ -92,6 +96,6 @@ pub use shard::{
 };
 pub use window::{SlidingWindow, Snapshot};
 
-/// The durable state store the recoverable service persists to — see
+/// The durable state store [`run_service_durable`] persists to — see
 /// [`store::Store`], [`store::MemStore`] and [`store::FileStore`].
 pub use gretel_store as store;

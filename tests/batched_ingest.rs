@@ -9,9 +9,10 @@
 //! impairment, and across crash/replay cycles. These tests pin that
 //! oracle and the channel-operation economics the fast path exists for.
 
+use gretel::core::store::MemStore;
 use gretel::core::{
-    analyze_stream, run_service_cfg, run_service_recoverable, Analyzer, GretelConfig,
-    RecoveryConfig, ServiceConfig,
+    analyze_stream, run_service_checked, run_service_durable, Analyzer, DurableConfig,
+    DurableOutcome, GretelConfig, RecoveryConfig, ServiceConfig,
 };
 use gretel::model::{
     Catalog, HttpMethod, Message, NodeId, OpSpecId, OperationSpec, Service, Workflows,
@@ -74,7 +75,8 @@ fn gcfg() -> GretelConfig {
 fn run_batched(cfg: &ServiceConfig) -> (Vec<Diagnosis>, ServiceStats) {
     let fx = fixture();
     let mut analyzer = Analyzer::new(&fx.lib, gcfg());
-    let (diags, svc, _) = run_service_cfg(&mut analyzer, &fx.nodes, &fx.messages, cfg);
+    let (diags, svc, _) = run_service_checked(&mut analyzer, &fx.nodes, &fx.messages, cfg)
+        .expect("in-process run completes");
     (diags, svc)
 }
 
@@ -204,10 +206,19 @@ fn crash_replay_is_batch_size_invariant() {
             crash_points: CrashSchedule::at(vec![150, 80]).points,
             ..RecoveryConfig::default()
         };
-        let mut analyzer = Analyzer::new(&fx.lib, gcfg());
-        let (diags, _, _, rec) =
-            run_service_recoverable(&mut analyzer, &fx.nodes, &fx.messages, &cfg)
-                .expect("chaotic batched run completes");
+        let dcfg = DurableConfig { recovery: cfg, ..DurableConfig::default() };
+        let out = run_service_durable(
+            &fx.lib,
+            gcfg(),
+            &fx.nodes,
+            &fx.messages,
+            &dcfg,
+            &mut MemStore::new(),
+        )
+        .expect("chaotic batched run completes");
+        let DurableOutcome::Completed { diagnoses: diags, recovery: rec, .. } = out else {
+            panic!("no kill point configured")
+        };
         assert_eq!(diags, expected, "recovery at ingest_batch={batch}");
         assert_eq!(rec.restores, 2, "one restore per scheduled crash");
     }

@@ -11,9 +11,10 @@
 
 use gretel::core::store::{FileStore, FileStoreConfig, MemStore, Store};
 use gretel::core::{
-    run_service_cfg, run_service_durable, run_service_recoverable, Analyzer, AnalyzerChaos,
-    CaptureConfidence, DurableConfig, DurableOutcome, GretelConfig, JobBudget, LibraryReload,
-    RecoveryConfig, RecoveryStats, ServiceConfig, ServiceError,
+    analyze_stream, run_service_checked, run_service_durable, Analyzer, AnalyzerChaos,
+    AnalyzerStats, CaptureConfidence, Diagnosis, DurableConfig, DurableOutcome, GretelConfig,
+    JobBudget, LibraryReload, RecoveryConfig, RecoveryStats, ServiceConfig, ServiceError,
+    ServiceStats,
 };
 use gretel::model::{
     Catalog, HttpMethod, Message, NodeId, OpSpecId, OperationSpec, Service, Workflows,
@@ -74,28 +75,41 @@ fn gcfg() -> GretelConfig {
 
 /// The plain (non-recoverable) pipeline's output for a given impairment —
 /// the oracle every recovery run is compared against.
-fn reference(impairment: Option<CaptureImpairment>) -> Vec<gretel::core::Diagnosis> {
+fn reference(impairment: Option<CaptureImpairment>) -> Vec<Diagnosis> {
     let fx = fixture();
     let cfg = ServiceConfig {
         impairment: Some(impairment.unwrap_or_else(CaptureImpairment::none)),
         ..ServiceConfig::default()
     };
     let mut analyzer = Analyzer::new(&fx.lib, gcfg());
-    let (diags, _, _) = run_service_cfg(&mut analyzer, &fx.nodes, &fx.messages, &cfg);
+    let (diags, _, _) = run_service_checked(&mut analyzer, &fx.nodes, &fx.messages, &cfg)
+        .expect("plain run completes");
     diags
+}
+
+/// The fixture through the supervised, checkpointed pipeline: a durable
+/// run over a fresh in-memory store, with no kill point configured.
+fn recoverable(
+    cfg: &RecoveryConfig,
+) -> Result<(Vec<Diagnosis>, ServiceStats, AnalyzerStats, RecoveryStats), ServiceError> {
+    let fx = fixture();
+    let dcfg = DurableConfig { recovery: cfg.clone(), ..DurableConfig::default() };
+    let mut store = MemStore::new();
+    match run_service_durable(&fx.lib, gcfg(), &fx.nodes, &fx.messages, &dcfg, &mut store)? {
+        DurableOutcome::Completed { diagnoses, service, analyzer, recovery, .. } => {
+            Ok((diagnoses, service, analyzer, recovery))
+        }
+        DurableOutcome::Killed { .. } => panic!("no kill point configured"),
+    }
 }
 
 #[test]
 fn no_chaos_recoverable_equals_plain_pipeline() {
-    let fx = fixture();
     let expected = reference(None);
     assert!(expected.len() >= 2, "fixture produces diagnoses");
 
-    let mut analyzer = Analyzer::new(&fx.lib, gcfg());
     let cfg = RecoveryConfig { checkpoint_every: 64, ..RecoveryConfig::default() };
-    let (diags, _, astats, rec) =
-        run_service_recoverable(&mut analyzer, &fx.nodes, &fx.messages, &cfg)
-            .expect("clean run completes");
+    let (diags, _, astats, rec) = recoverable(&cfg).expect("clean run completes");
     assert_eq!(diags, expected);
     assert!(rec.checkpoints_written > 0);
     assert_eq!(rec.worker_crashes, 0);
@@ -106,7 +120,6 @@ fn no_chaos_recoverable_equals_plain_pipeline() {
 
 #[test]
 fn worker_kills_and_service_crashes_preserve_the_output_exactly() {
-    let fx = fixture();
     let expected = reference(None);
 
     // Every job crashes its worker twice (attempts 0 and 1) and then
@@ -119,10 +132,7 @@ fn worker_kills_and_service_crashes_preserve_the_output_exactly() {
         crash_points: CrashSchedule::at(vec![150, 80]).points,
         ..RecoveryConfig::default()
     };
-    let mut analyzer = Analyzer::new(&fx.lib, gcfg());
-    let (diags, svc, _, rec) =
-        run_service_recoverable(&mut analyzer, &fx.nodes, &fx.messages, &cfg)
-            .expect("chaotic run completes");
+    let (diags, svc, _, rec) = recoverable(&cfg).expect("chaotic run completes");
 
     assert_eq!(diags, expected, "zero diagnoses lost, zero duplicated");
     assert!(rec.worker_crashes > 0, "kill chaos fired: {rec:?}");
@@ -136,7 +146,6 @@ fn worker_kills_and_service_crashes_preserve_the_output_exactly() {
 
 #[test]
 fn stalled_jobs_are_cancelled_never_exact() {
-    let fx = fixture();
     let expected = reference(None);
 
     let cfg = RecoveryConfig {
@@ -145,10 +154,7 @@ fn stalled_jobs_are_cancelled_never_exact() {
         chaos: AnalyzerChaos { stall_prob: 1.0, seed: 23, ..AnalyzerChaos::none() },
         ..RecoveryConfig::default()
     };
-    let mut analyzer = Analyzer::new(&fx.lib, gcfg());
-    let (diags, _, _, rec) =
-        run_service_recoverable(&mut analyzer, &fx.nodes, &fx.messages, &cfg)
-            .expect("stalled run completes");
+    let (diags, _, _, rec) = recoverable(&cfg).expect("stalled run completes");
 
     assert!(rec.jobs_cancelled > 0, "stall chaos fired: {rec:?}");
     // Honesty: every fault still surfaces, each marked Cancelled — a
@@ -169,7 +175,6 @@ fn budget_cancellations_replay_identically_across_crashes() {
     // recovery oracle. A pass budget is a pure function of the job, so a
     // run that cancels everything must commit the *same* stream whether
     // or not the service crashed and replayed in the middle.
-    let fx = fixture();
 
     let run = |crash_points: Vec<u64>| {
         let cfg = RecoveryConfig {
@@ -178,9 +183,7 @@ fn budget_cancellations_replay_identically_across_crashes() {
             crash_points,
             ..RecoveryConfig::default()
         };
-        let mut analyzer = Analyzer::new(&fx.lib, gcfg());
-        run_service_recoverable(&mut analyzer, &fx.nodes, &fx.messages, &cfg)
-            .expect("budget-starved run completes")
+        recoverable(&cfg).expect("budget-starved run completes")
     };
 
     let (diags_plain, _, _, rec_plain) = run(Vec::new());
@@ -198,20 +201,16 @@ fn budget_cancellations_replay_identically_across_crashes() {
 
 #[test]
 fn wall_clock_budgets_are_rejected_by_the_recoverable_service() {
-    let fx = fixture();
     let cfg = RecoveryConfig {
         budget: JobBudget::WallClock(Duration::from_secs(5)),
         ..RecoveryConfig::default()
     };
-    let mut analyzer = Analyzer::new(&fx.lib, gcfg());
-    let err = run_service_recoverable(&mut analyzer, &fx.nodes, &fx.messages, &cfg)
-        .expect_err("wall-clock budgets cannot be replayed identically");
+    let err = recoverable(&cfg).expect_err("wall-clock budgets cannot be replayed identically");
     assert!(matches!(err, ServiceError::NondeterministicBudget), "{err}");
 }
 
 #[test]
 fn corrupt_checkpoints_fall_back_and_suppress_duplicate_releases() {
-    let fx = fixture();
     let expected = reference(None);
 
     // Every checkpoint record is corrupted, so the post-crash restore
@@ -223,10 +222,7 @@ fn corrupt_checkpoints_fall_back_and_suppress_duplicate_releases() {
         crash_points: vec![200],
         ..RecoveryConfig::default()
     };
-    let mut analyzer = Analyzer::new(&fx.lib, gcfg());
-    let (diags, _, _, rec) =
-        run_service_recoverable(&mut analyzer, &fx.nodes, &fx.messages, &cfg)
-            .expect("corrupted-journal run completes");
+    let (diags, _, _, rec) = recoverable(&cfg).expect("corrupted-journal run completes");
 
     assert_eq!(diags, expected, "cold replay still neither loses nor duplicates");
     assert!(rec.checkpoints_corrupt > 0, "corruption chaos fired: {rec:?}");
@@ -239,7 +235,7 @@ fn run_durable_to_completion(
     lib: &gretel_core::FingerprintLibrary,
     reloads: Vec<LibraryReload>,
     store: &mut dyn Store,
-) -> (Vec<gretel::core::Diagnosis>, RecoveryStats) {
+) -> (Vec<Diagnosis>, RecoveryStats) {
     let fx = fixture();
     let cfg = DurableConfig {
         recovery: RecoveryConfig { checkpoint_every: 64, ..RecoveryConfig::default() },
@@ -298,6 +294,40 @@ fn durable_filestore_kill_restart_is_exactly_once() {
         last_recovery.replayed_frames > 0,
         "the restarted process replayed the consumed prefix: {last_recovery:?}"
     );
+}
+
+#[test]
+fn durable_graph_survives_crashes_and_process_restarts() {
+    // The traffic graph travels inside every checkpoint, so the graph a
+    // durable run returns covers the whole stream even though every
+    // restore (in-process crash, process restart) replays only a suffix.
+    let fx = fixture();
+    let mut inline = Analyzer::new(&fx.lib, gcfg());
+    analyze_stream(&mut inline, fx.messages.iter());
+    let recovery = RecoveryConfig {
+        checkpoint_every: 64,
+        crash_points: vec![100, 80],
+        ..RecoveryConfig::default()
+    };
+    let mut store = MemStore::new();
+    let first = DurableConfig { recovery, kill_point: Some(120), reloads: Vec::new() };
+    let out = run_service_durable(&fx.lib, gcfg(), &fx.nodes, &fx.messages, &first, &mut store)
+        .expect("first lifetime is killed");
+    let DurableOutcome::Killed { recovery, .. } = out else { panic!("kill point must fire") };
+    assert_eq!(recovery.restores, 2, "both crash points fired before the kill");
+
+    let restart = DurableConfig {
+        recovery: RecoveryConfig { checkpoint_every: 64, ..RecoveryConfig::default() },
+        ..DurableConfig::default()
+    };
+    let out = run_service_durable(&fx.lib, gcfg(), &fx.nodes, &fx.messages, &restart, &mut store)
+        .expect("restart completes");
+    let DurableOutcome::Completed { diagnoses, graph, recovery, .. } = out else {
+        panic!("no kill point on restart")
+    };
+    assert!(recovery.replayed_frames > 0, "the restart replayed: {recovery:?}");
+    assert_eq!(diagnoses, reference(None), "zero diagnoses lost, zero duplicated");
+    assert_eq!(&graph, inline.traffic_graph(), "graph mined across every restore");
 }
 
 #[test]
@@ -363,7 +393,6 @@ proptest! {
         crashes in 1usize..3,
         kill in any::<bool>(),
     ) {
-        let fx = fixture();
         let imp = CaptureImpairment {
             drop_prob, dup_prob, reorder_prob, reorder_span: 3, stall: None, seed,
         };
@@ -382,10 +411,7 @@ proptest! {
             crash_points: CrashSchedule::seeded(seed, crashes, 300).points,
             ..RecoveryConfig::default()
         };
-        let mut analyzer = Analyzer::new(&fx.lib, gcfg());
-        let (diags, _, _, rec) =
-            run_service_recoverable(&mut analyzer, &fx.nodes, &fx.messages, &cfg)
-                .expect("impaired chaotic run completes");
+        let (diags, _, _, rec) = recoverable(&cfg).expect("impaired chaotic run completes");
         prop_assert_eq!(diags, expected);
         prop_assert_eq!(rec.jobs_cancelled, 0);
     }

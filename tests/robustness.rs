@@ -14,8 +14,7 @@
 //!   total).
 
 use gretel::core::{
-    analyze_stream, run_service, run_service_cfg, Analyzer, CaptureConfidence, GretelConfig,
-    ServiceConfig,
+    analyze_stream, run_service_checked, Analyzer, CaptureConfidence, GretelConfig, ServiceConfig,
 };
 use gretel::model::{
     Catalog, HttpMethod, Message, NodeId, OpSpecId, OperationSpec, Service, Workflows,
@@ -73,7 +72,9 @@ fn zero_impairment_is_identical_to_the_legacy_pipeline() {
 
     // Legacy threaded pipeline.
     let mut legacy = Analyzer::new(&fx.lib, gcfg());
-    let (legacy_diags, _, _) = run_service(&mut legacy, &fx.nodes, &fx.messages, 64);
+    let (legacy_diags, _, _) =
+        run_service_checked(&mut legacy, &fx.nodes, &fx.messages, &ServiceConfig::default())
+            .expect("in-process run completes");
     assert_eq!(legacy_diags, expected);
 
     // Sequence-stamped pipeline with a no-op impairment: the whole
@@ -81,7 +82,8 @@ fn zero_impairment_is_identical_to_the_legacy_pipeline() {
     let cfg =
         ServiceConfig { impairment: Some(CaptureImpairment::none()), ..ServiceConfig::default() };
     let mut seq = Analyzer::new(&fx.lib, gcfg());
-    let (seq_diags, svc, astats) = run_service_cfg(&mut seq, &fx.nodes, &fx.messages, &cfg);
+    let (seq_diags, svc, astats) = run_service_checked(&mut seq, &fx.nodes, &fx.messages, &cfg)
+        .expect("in-process run completes");
     assert_eq!(seq_diags, expected);
     assert!(svc.capture.is_clean());
     assert_eq!(astats.capture_gaps, 0);
@@ -99,7 +101,9 @@ fn agent_stall_is_reported_as_degraded_not_hidden() {
         ..ServiceConfig::default()
     };
     let mut analyzer = Analyzer::new(&fx.lib, gcfg());
-    let (diags, svc, astats) = run_service_cfg(&mut analyzer, &fx.nodes, &fx.messages, &cfg);
+    let (diags, svc, astats) =
+        run_service_checked(&mut analyzer, &fx.nodes, &fx.messages, &cfg)
+            .expect("in-process run completes");
     // Every agent with more than 6 frames stalls mid-stream; the receiver
     // must infer the holes rather than silently skip them.
     assert!(svc.capture.stalled > 0);
@@ -131,7 +135,9 @@ proptest! {
         };
         let cfg = ServiceConfig { impairment: Some(imp), ..ServiceConfig::default() };
         let mut analyzer = Analyzer::new(&fx.lib, gcfg());
-        let (diags, svc, astats) = run_service_cfg(&mut analyzer, &fx.nodes, &fx.messages, &cfg);
+        let (diags, svc, astats) =
+        run_service_checked(&mut analyzer, &fx.nodes, &fx.messages, &cfg)
+            .expect("in-process run completes");
 
         // Receiver-side inference is bounded by what the injector did:
         // only drops create holes (duplication and bounded reorder are
